@@ -23,15 +23,22 @@
 //! process if the deferred engine ever compacts inside a timed ack, if the
 //! inline engine never compacts at all, or if the matchings diverge.
 //!
+//! A **construction** cell times `AssignmentEngine::new()` and `restore()`
+//! next to the SB solve they are built on (100×5k in `--smoke`, 1000×50k
+//! otherwise). Wall time is reported, not gated; the gates are machine
+//! independent: construction runs zero repair rounds, and both engines'
+//! matchings equal SB's canonically.
+//!
 //! Usage: `engine_bench [--smoke] [--out <path>]`
 //!
 //! CI runs `--smoke` as a gate: non-zero exit on oracle divergence, on an
-//! unstable engine matching, or if incremental repair fails to strictly
-//! undercut the recompute baseline's total update-phase I/O in any cell.
+//! unstable engine matching, if incremental repair fails to strictly
+//! undercut the recompute baseline's total update-phase I/O in any cell, or
+//! if construction repairs or diverges from SB.
 
 #![forbid(unsafe_code)]
 
-use pref_assign::{oracle, verify_stable, Problem, SbSolver, Solver};
+use pref_assign::{oracle, sb, verify_stable, Problem, SbOptions, SbSolver, Solver};
 use pref_bench::percentile_us;
 use pref_datagen::{update_stream, ObjectDistribution, UpdateStreamConfig};
 use pref_engine::{AssignmentEngine, EngineOptions};
@@ -146,6 +153,30 @@ struct AckRow {
     matches_inline: bool,
 }
 
+/// The construction cell: engine construction and restore against the
+/// single SB solve each of them runs.
+#[derive(Debug, Clone, Serialize)]
+struct ConstructionRow {
+    workload: String,
+    num_functions: usize,
+    num_objects: usize,
+    /// Bulk-loading the R-tree (part of `new()` and `restore()`).
+    tree_build_s: f64,
+    /// SB on a freshly built tree, solve only.
+    sb_solve_s: f64,
+    /// `AssignmentEngine::new()`: tree build + SB + adopting its result.
+    new_s: f64,
+    /// `AssignmentEngine::restore()` from the new engine's export.
+    restore_s: f64,
+    /// Repair rounds run by `new()` / `restore()` (gated: must be 0).
+    new_repair_rounds: u64,
+    restore_repair_rounds: u64,
+    /// Pairs in the matching.
+    pairs: usize,
+    /// Both engines' matchings equal SB's canonically.
+    matches_sb: bool,
+}
+
 #[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     bench: String,
@@ -154,6 +185,7 @@ struct BenchReport {
     rows: Vec<BenchRow>,
     churn: Vec<ChurnRow>,
     ack: Vec<AckRow>,
+    construction: Vec<ConstructionRow>,
 }
 
 fn main() {
@@ -306,6 +338,9 @@ fn main() {
     let (ack_row, ack_failed) = run_ack_cell(smoke);
     failed |= ack_failed;
 
+    let (construction_row, construction_failed) = run_construction_cell(smoke);
+    failed |= construction_failed;
+
     let report = BenchReport {
         bench: "engine".to_string(),
         scale: if smoke { "smoke" } else { "default" }.to_string(),
@@ -316,6 +351,7 @@ fn main() {
         rows,
         churn: vec![churn_row],
         ack: vec![ack_row],
+        construction: vec![construction_row],
     };
     // lint: allow(no-raw-fs) -- bench report output, not durable state
     let file = std::fs::File::create(&out).expect("create bench output file");
@@ -324,7 +360,9 @@ fn main() {
     eprintln!("wrote {}", out.display());
 
     if failed {
-        eprintln!("FAILED: divergence, instability, or no I/O savings (see log above)");
+        eprintln!(
+            "FAILED: divergence, instability, no I/O savings, or repairing construction (see log above)"
+        );
         std::process::exit(1);
     }
 }
@@ -595,6 +633,86 @@ fn run_ack_cell(smoke: bool) -> (AckRow, bool) {
     eprintln!(
         "  deferred ack: p50={:.1}us p99={:.1}us max={:.1}us ({} batches drained off-path, 0 on-path)",
         row.deferred_ack_p50_us, row.deferred_ack_p99_us, row.deferred_ack_max_us, row.deferred_batches_total
+    );
+    (row, failed)
+}
+
+/// Drives the construction cell: `new()` and `restore()` against one SB
+/// solve of the same problem. Returns the row and whether a gate failed
+/// (a repair round during construction, or a matching other than SB's).
+fn run_construction_cell(smoke: bool) -> (ConstructionRow, bool) {
+    let (num_functions, num_objects) = if smoke {
+        (100usize, 5_000usize)
+    } else {
+        (1_000, 50_000)
+    };
+    eprintln!("== construction |F|={num_functions} |O|={num_objects} ==");
+    let problem = build_problem(&Cell {
+        distribution: ObjectDistribution::Independent,
+        num_functions,
+        num_objects,
+        num_events: 0,
+    });
+    let options = EngineOptions::default();
+
+    let started = Instant::now();
+    let mut tree = problem.build_tree(options.fanout, options.buffer_fraction);
+    let tree_build_s = started.elapsed().as_secs_f64();
+    let sb_options = SbOptions {
+        threads: options.threads,
+        ..SbOptions::default()
+    };
+    let started = Instant::now();
+    let solved = sb(&problem, &mut tree, &sb_options);
+    let sb_solve_s = started.elapsed().as_secs_f64();
+    drop(tree);
+
+    let started = Instant::now();
+    let engine = AssignmentEngine::new(&problem, &options).unwrap();
+    let new_s = started.elapsed().as_secs_f64();
+    let export = engine.export_snapshot();
+    let started = Instant::now();
+    let restored = AssignmentEngine::restore(&export, &options).unwrap();
+    let restore_s = started.elapsed().as_secs_f64();
+
+    let mut failed = false;
+    let want = solved.assignment.canonical();
+    let matches_sb =
+        engine.assignment().canonical() == want && restored.assignment().canonical() == want;
+    if !matches_sb {
+        failed = true;
+        eprintln!("!! construction: the engine's matching differs from SB's");
+    }
+    let new_repair_rounds = engine.stats().repair_rounds;
+    let restore_repair_rounds = restored.stats().repair_rounds;
+    if new_repair_rounds != 0 || restore_repair_rounds != 0 {
+        failed = true;
+        eprintln!(
+            "!! construction ran repair rounds: new() {new_repair_rounds}, restore() {restore_repair_rounds}"
+        );
+    }
+    let row = ConstructionRow {
+        workload: "construction".to_string(),
+        num_functions,
+        num_objects,
+        tree_build_s,
+        sb_solve_s,
+        new_s,
+        restore_s,
+        new_repair_rounds,
+        restore_repair_rounds,
+        pairs: solved.assignment.len(),
+        matches_sb,
+    };
+    eprintln!(
+        "  tree build {:.3}s + SB solve {:.3}s | new() {:.3}s | restore() {:.3}s | {} pairs, repair rounds {}/{}",
+        row.tree_build_s,
+        row.sb_solve_s,
+        row.new_s,
+        row.restore_s,
+        row.pairs,
+        row.new_repair_rounds,
+        row.restore_repair_rounds
     );
     (row, failed)
 }

@@ -118,6 +118,17 @@ impl SbOptions {
 
 /// Runs the SB assignment algorithm with the given options.
 ///
+/// A thin wrapper over [`sb_with_skyline`] that drops the final skyline.
+pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> AssignmentResult {
+    sb_with_skyline(problem, tree, options).0
+}
+
+/// Runs the SB assignment algorithm and also returns its final [`Skyline`]:
+/// the skyline of the objects with unassigned capacity (the free pool), as
+/// the maintenance module left it on `tree`, pruned lists included. A
+/// long-lived owner of `tree` (the incremental engine) adopts it as its
+/// maintained free-pool skyline instead of running BBS again.
+///
 /// The hot path keeps every piece of per-object and per-function state in
 /// dense `Vec` slabs indexed by the [`Problem`]'s contiguous tables (via the
 /// `RecordId → dense index` map built once at problem construction): remaining
@@ -127,7 +138,11 @@ impl SbOptions {
 /// read through borrowed [`Skyline::entry_views`] — nothing is cloned per
 /// loop. Sorted-list accesses performed by the TA searches are charged to
 /// [`RunMetrics::aux_io`], matching the paper's cost model.
-pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> AssignmentResult {
+pub fn sb_with_skyline(
+    problem: &Problem,
+    tree: &mut RTree,
+    options: &SbOptions,
+) -> (AssignmentResult, Skyline) {
     let start = Instant::now();
     let stats_before = tree.stats();
 
@@ -153,8 +168,10 @@ pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> Assignmen
     let n_fun = problem.num_functions();
     let n_obj = problem.num_objects();
 
-    // solver-specific per-object search state, indexed by the dense index
-    let mut ta_states: Vec<Option<ReverseTopOne>> = vec![None; n_obj];
+    // solver-specific per-object search state, indexed by the dense index;
+    // boxed, because only skyline objects ever get a state and an unboxed
+    // slab would touch `size_of::<ReverseTopOne>()` bytes per object
+    let mut ta_states: Vec<Option<Box<ReverseTopOne>>> = vec![None; n_obj];
     let mut excluded: Vec<bool> = vec![false; n_obj];
 
     let mut skyline: Skyline = compute_skyline_bbs(tree);
@@ -200,7 +217,7 @@ pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> Assignmen
             let best = match options.best_pair {
                 BestPairStrategy::ResumableTa { .. } => {
                     let state = ta_states[oi]
-                        .get_or_insert_with(|| ReverseTopOne::new(point.clone(), omega));
+                        .get_or_insert_with(|| Box::new(ReverseTopOne::new(point.clone(), omega)));
                     let before = state.sorted_accesses();
                     let best = state.best(&lists);
                     aux_reads += state.sorted_accesses() - before;
@@ -283,7 +300,7 @@ pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> Assignmen
         let ta_mem: u64 = ta_states
             .iter()
             .flatten()
-            .map(ReverseTopOne::memory_bytes)
+            .map(|state| state.memory_bytes())
             .sum();
         gauge.observe(skyline.memory_bytes() + ta_mem);
     }
@@ -302,10 +319,11 @@ pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> Assignmen
         loops: state.loops,
         searches,
     };
-    AssignmentResult {
+    let result = AssignmentResult {
         assignment: state.assignment,
         metrics,
-    }
+    };
+    (result, skyline)
 }
 
 #[cfg(test)]

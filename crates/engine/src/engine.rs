@@ -1,12 +1,13 @@
 //! The incremental engine: state, update operations and the repair loop.
 
 use pref_assign::{
-    Assignment, AssignmentView, FunctionId, ObjectRecord, PreferenceFunction, Problem,
+    sb_with_skyline, Assignment, AssignmentView, FunctionId, ObjectRecord, PreferenceFunction,
+    Problem, SbOptions,
 };
 use pref_datagen::UpdateEvent;
 use pref_geom::{Point, ScoreTable, SoaBlock};
 use pref_rtree::{DataEntry, NodeEntry, RTree, RecordId};
-use pref_skyline::{compute_skyline_bbs, insert_skyline, update_skyline_filtered, Skyline};
+use pref_skyline::{insert_skyline, update_skyline_filtered, Skyline};
 use pref_storage::IoStats;
 use pref_sync::WorkStealingPool;
 use std::collections::{HashMap, VecDeque};
@@ -153,11 +154,13 @@ pub struct EngineStats {
     pub function_inserts: u64,
     /// Function departures.
     pub function_removes: u64,
-    /// Pairs established, including the initial stabilization.
+    /// Pairs established: the pairs construction seeds from the SB solve
+    /// plus one per repair round.
     pub pairs_established: u64,
     /// Pairs retracted by departures and repairs.
     pub pairs_retracted: u64,
-    /// Repair-loop iterations executed (one per established pair).
+    /// Repair-loop iterations executed by updates (one per pair the repair
+    /// loop establishes). Construction runs zero: its pairs come from SB.
     pub repair_rounds: u64,
     /// Compaction batches executed.
     pub compaction_batches: u64,
@@ -477,7 +480,7 @@ pub struct AssignmentEngine {
     /// Current matching as `(dense function index, dense object index, score)`.
     pairs: Vec<(usize, usize, f64)>,
     stats: EngineStats,
-    /// Tree I/O at the end of the initial stabilization.
+    /// Tree I/O at the end of construction.
     initial_io: IoStats,
     /// LRU buffer sizing, re-applied after compaction shrinks the tree.
     buffer_fraction: f64,
@@ -505,15 +508,23 @@ pub struct AssignmentEngine {
 }
 
 impl AssignmentEngine {
-    /// Builds the engine from an initial problem: bulk-loads the R-tree,
-    /// computes the initial skyline with BBS and stabilizes the matching.
-    /// Index construction is not charged I/O (as in the batch experiments);
-    /// the initial BBS + stable loop is, and is reported separately by
+    /// Builds the engine from an initial problem: bulk-loads the R-tree and
+    /// runs one SB solve on it (Section 5's stable loop, with the thread
+    /// count of [`EngineOptions::threads`]). The engine adopts SB's matching
+    /// and the free-pool skyline SB leaves behind, pruned lists included, so
+    /// construction costs one batch solve and runs no repair round. Index
+    /// construction is not charged I/O (as in the batch experiments); the
+    /// SB solve is, and is reported separately by
     /// [`AssignmentEngine::initial_object_io`].
     pub fn new(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
         options.validate()?;
-        let tree = problem.build_tree(options.fanout, options.buffer_fraction);
-        let objects: Vec<ObjState> = problem
+        let mut tree = problem.build_tree(options.fanout, options.buffer_fraction);
+        let sb_options = SbOptions {
+            threads: options.threads,
+            ..SbOptions::default()
+        };
+        let (solved, skyline) = sb_with_skyline(problem, &mut tree, &sb_options);
+        let mut objects: Vec<ObjState> = problem
             .objects()
             .iter()
             .map(|o| ObjState {
@@ -527,7 +538,7 @@ impl AssignmentEngine {
             .enumerate()
             .map(|(i, o)| (o.record.id, i))
             .collect();
-        let functions: Vec<FunState> = problem
+        let mut functions: Vec<FunState> = problem
             .functions()
             .iter()
             .map(|f| FunState {
@@ -541,17 +552,37 @@ impl AssignmentEngine {
             .enumerate()
             .map(|(i, f)| (f.pref.id, i))
             .collect();
+        let mut pairs = Vec::with_capacity(solved.assignment.len());
+        for pair in solved.assignment.pairs() {
+            let (fi, oi) = (fun_index[&pair.function], obj_index[&pair.object]);
+            functions[fi].remaining -= 1;
+            objects[oi].remaining -= 1;
+            pairs.push((fi, oi, pair.score));
+        }
+        // The repair loop establishes pairs in (score desc, fi asc, oi asc)
+        // order, and `worst_pair_index` breaks exact-score ties by position:
+        // the same order here makes later displacements independent of how
+        // the engine was built.
+        pairs.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
         let mut engine = Self {
             dims: problem.dims(),
             objects,
             obj_index,
             functions,
             fun_index,
+            initial_io: tree.stats(),
             tree,
-            skyline: Skyline::new(),
-            pairs: Vec::new(),
-            stats: EngineStats::default(),
-            initial_io: IoStats::default(),
+            skyline,
+            stats: EngineStats {
+                pairs_established: pairs.len() as u64,
+                ..EngineStats::default()
+            },
+            pairs,
             buffer_fraction: options.buffer_fraction,
             compaction_threshold: options.compaction_threshold,
             compaction_batch: options.compaction_batch,
@@ -567,16 +598,18 @@ impl AssignmentEngine {
             repair: RepairScratch::new(),
         };
         engine.rebuild_score_table();
-        engine.skyline = compute_skyline_bbs(&mut engine.tree);
-        engine.restabilize();
-        engine.initial_io = engine.tree.stats();
+        debug_assert!(
+            engine.best_candidate().is_none(),
+            "SB's matching must be stable under the repair loop's admissibility rule"
+        );
         Ok(engine)
     }
 
     /// Rebuilds an engine from an exported checkpoint — the restore half of
     /// [`AssignmentEngine::export_snapshot`], used by the serving tier's
-    /// crash recovery. The live populations are re-indexed and re-solved from
-    /// scratch; by the restart-equivalence guarantee (pinned by the
+    /// crash recovery. The live populations are bulk-loaded into a fresh
+    /// R-tree and solved once by SB, exactly as [`AssignmentEngine::new`]
+    /// does; by the restart-equivalence guarantee (pinned by the
     /// `restart_equivalence` test battery) the resulting canonical matching
     /// is byte-identical to the exporting engine's.
     pub fn restore(
@@ -638,17 +671,19 @@ impl AssignmentEngine {
             .collect()
     }
 
-    /// Cumulative object R-tree I/O (initial stabilization + all updates).
+    /// Cumulative object R-tree I/O (construction-time SB solve + all
+    /// updates).
     pub fn total_object_io(&self) -> IoStats {
         self.tree.stats()
     }
 
-    /// Object R-tree I/O of the initial BBS + stabilization.
+    /// Object R-tree I/O of the construction-time SB solve (its BBS and
+    /// `UpdateSkyline` maintenance).
     pub fn initial_object_io(&self) -> IoStats {
         self.initial_io
     }
 
-    /// Object R-tree I/O spent on updates since the initial stabilization.
+    /// Object R-tree I/O spent on updates since construction.
     pub fn update_object_io(&self) -> IoStats {
         self.tree.stats().since(&self.initial_io)
     }
@@ -1243,5 +1278,269 @@ impl AssignmentEngine {
             }
         }
         best.map(|(i, _)| i)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Seeded construction against the from-empty repair loop it replaced.
+
+    use super::*;
+    use pref_geom::LinearFunction;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    impl AssignmentEngine {
+        /// The from-empty construction that seeding from SB replaced: a BBS
+        /// skyline of the engine's tree and the repair loop run from an
+        /// empty matching. It resets a seeded engine's matching state, so
+        /// only the slabs and the tree are shared with the seeded path.
+        fn new_from_empty(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
+            let mut engine = Self::new(problem, options)?;
+            engine.pairs.clear();
+            for f in &mut engine.functions {
+                f.remaining = f.pref.capacity;
+            }
+            for o in &mut engine.objects {
+                o.remaining = o.record.capacity;
+            }
+            engine.stats = EngineStats::default();
+            engine.skyline = pref_skyline::compute_skyline_bbs(&mut engine.tree);
+            engine.restabilize();
+            engine.initial_io = engine.tree.stats();
+            Ok(engine)
+        }
+    }
+
+    /// One coordinate or raw weight: quantized instances draw from a coarse
+    /// grid, so exact score ties and duplicated points are common.
+    fn value(rng: &mut StdRng, quantized: bool, grid: &[f64]) -> f64 {
+        if quantized {
+            grid[rng.gen_range(0..grid.len())]
+        } else {
+            rng.gen_range(0.01..1.0)
+        }
+    }
+
+    fn draw_point(rng: &mut StdRng, dims: usize, quantized: bool, pool: &[Point]) -> Point {
+        // duplicated points: exact cross-object ties for every function
+        if !pool.is_empty() && rng.gen_bool(0.3) {
+            return pool[rng.gen_range(0..pool.len())].clone();
+        }
+        let coords: Vec<f64> = (0..dims)
+            .map(|_| value(rng, quantized, &[0.0, 0.25, 0.5, 0.75, 1.0]))
+            .collect();
+        Point::from_slice(&coords)
+    }
+
+    fn draw_function(
+        rng: &mut StdRng,
+        dims: usize,
+        quantized: bool,
+        pool: &[Vec<f64>],
+    ) -> LinearFunction {
+        // duplicated weight vectors: exact cross-function ties on every object
+        let weights = if !pool.is_empty() && rng.gen_bool(0.3) {
+            pool[rng.gen_range(0..pool.len())].clone()
+        } else {
+            (0..dims)
+                .map(|_| value(rng, quantized, &[1.0, 1.0, 2.0, 3.0]))
+                .collect()
+        };
+        LinearFunction::new(weights).unwrap()
+    }
+
+    /// A seeded instance with capacities `1..=4` on both sides, duplicated
+    /// points and weight vectors, and (mostly) grid-quantized exact ties.
+    fn instance(seed: u64, max_functions: usize, max_objects: usize) -> Problem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = rng.gen_range(2..=4);
+        let quantized = rng.gen_bool(0.7);
+        let mut weights: Vec<Vec<f64>> = Vec::new();
+        let functions: Vec<PreferenceFunction> = (0..rng.gen_range(1..=max_functions))
+            .map(|i| {
+                let f = draw_function(&mut rng, dims, quantized, &weights);
+                weights.push(f.weights().to_vec());
+                PreferenceFunction::new(i, f).with_capacity(rng.gen_range(1..=4))
+            })
+            .collect();
+        let mut points: Vec<Point> = Vec::new();
+        let objects: Vec<ObjectRecord> = (0..rng.gen_range(1..=max_objects))
+            .map(|i| {
+                let p = draw_point(&mut rng, dims, quantized, &points);
+                points.push(p.clone());
+                ObjectRecord::new(i as u64, p).with_capacity(rng.gen_range(1..=4))
+            })
+            .collect();
+        Problem::new(functions, objects).unwrap()
+    }
+
+    /// A churn stream over `problem`'s ids drawn from the same tie-heavy
+    /// distribution; departures never empty a population.
+    fn churn(problem: &Problem, seed: u64, len: usize) -> Vec<UpdateOp> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let dims = problem.dims();
+        let quantized = rng.gen_bool(0.7);
+        let mut objects: Vec<RecordId> = problem.objects().iter().map(|o| o.id).collect();
+        let mut points: Vec<Point> = problem.objects().iter().map(|o| o.point.clone()).collect();
+        let mut functions: Vec<FunctionId> = problem.functions().iter().map(|f| f.id).collect();
+        let mut weights: Vec<Vec<f64>> = problem
+            .functions()
+            .iter()
+            .map(|f| f.function.weights().to_vec())
+            .collect();
+        let mut next_object = objects.len() as u64 + 1_000;
+        let mut next_function = functions.len() + 1_000;
+        let mut ops = Vec::with_capacity(len);
+        for _ in 0..len {
+            let op = match rng.gen_range(0..4) {
+                0 => {
+                    let p = draw_point(&mut rng, dims, quantized, &points);
+                    points.push(p.clone());
+                    objects.push(RecordId(next_object));
+                    next_object += 1;
+                    UpdateOp::InsertObject(
+                        ObjectRecord::new(next_object - 1, p).with_capacity(rng.gen_range(1..=4)),
+                    )
+                }
+                1 if objects.len() > 1 => {
+                    UpdateOp::RemoveObject(objects.swap_remove(rng.gen_range(0..objects.len())))
+                }
+                2 => {
+                    let f = draw_function(&mut rng, dims, quantized, &weights);
+                    weights.push(f.weights().to_vec());
+                    functions.push(FunctionId(next_function));
+                    next_function += 1;
+                    UpdateOp::InsertFunction(
+                        PreferenceFunction::new(next_function - 1, f)
+                            .with_capacity(rng.gen_range(1..=4)),
+                    )
+                }
+                _ if functions.len() > 1 => UpdateOp::RemoveFunction(
+                    functions.swap_remove(rng.gen_range(0..functions.len())),
+                ),
+                _ => continue,
+            };
+            ops.push(op);
+        }
+        ops
+    }
+
+    /// The matching in pair order, with exact score bits: equal only when
+    /// two engines hold the same pairs in the same order.
+    fn ordered_pairs(engine: &AssignmentEngine) -> Vec<(usize, u64, u64)> {
+        engine
+            .assignment()
+            .pairs()
+            .iter()
+            .map(|p| (p.function.0, p.object.0, p.score.to_bits()))
+            .collect()
+    }
+
+    fn sorted_skyline(engine: &AssignmentEngine) -> Vec<RecordId> {
+        let mut records = engine.skyline_records();
+        records.sort_unstable();
+        records
+    }
+
+    fn assert_same_state(seeded: &AssignmentEngine, unseeded: &AssignmentEngine, what: &str) {
+        assert_eq!(
+            seeded.assignment().canonical(),
+            unseeded.assignment().canonical(),
+            "{what}: canonical matchings differ"
+        );
+        assert_eq!(
+            ordered_pairs(seeded),
+            ordered_pairs(unseeded),
+            "{what}: pair order differs"
+        );
+        assert_eq!(
+            sorted_skyline(seeded),
+            sorted_skyline(unseeded),
+            "{what}: free-pool skylines differ"
+        );
+    }
+
+    fn differential(seed: u64, max_functions: usize, max_objects: usize, options: &EngineOptions) {
+        let problem = instance(seed, max_functions, max_objects);
+        let mut seeded = AssignmentEngine::new(&problem, options).unwrap();
+        let mut unseeded = AssignmentEngine::new_from_empty(&problem, options).unwrap();
+        assert_same_state(&seeded, &unseeded, &format!("seed {seed}, construction"));
+        assert_eq!(
+            seeded.assignment().canonical(),
+            pref_assign::oracle(&problem).canonical(),
+            "seed {seed}: seeded engine diverges from the oracle"
+        );
+        for (step, op) in churn(&problem, seed, 40).iter().enumerate() {
+            op.apply(&mut seeded).unwrap();
+            op.apply(&mut unseeded).unwrap();
+            assert_same_state(
+                &seeded,
+                &unseeded,
+                &format!("seed {seed}, op #{step} {op:?}"),
+            );
+            let snapshot = seeded.snapshot_problem().unwrap();
+            pref_assign::verify_stable(&snapshot, &seeded.assignment())
+                .unwrap_or_else(|v| panic!("seed {seed}, op #{step}: unstable: {v}"));
+        }
+    }
+
+    #[test]
+    fn seeded_construction_matches_the_from_empty_loop_on_tie_heavy_instances() {
+        for seed in 0..120u64 {
+            differential(seed, 10, 14, &EngineOptions::default());
+        }
+    }
+
+    #[test]
+    fn seeded_construction_matches_the_from_empty_loop_on_multi_level_trees() {
+        // fanout 4 with eager compaction: deep trees, so SB's pruned lists
+        // hold real node entries and later departures replenish through them
+        let options = EngineOptions {
+            fanout: Some(4),
+            compaction_threshold: Some(0.0),
+            ..EngineOptions::default()
+        };
+        for seed in 500..530u64 {
+            differential(seed, 24, 160, &options);
+        }
+    }
+
+    #[test]
+    fn seeded_construction_is_thread_count_independent() {
+        for threads in [1usize, 2, 8] {
+            let options = EngineOptions {
+                threads: Some(threads),
+                ..EngineOptions::default()
+            };
+            for seed in 900..910u64 {
+                differential(seed, 24, 160, &options);
+            }
+        }
+    }
+
+    #[test]
+    fn construction_runs_no_repair_round() {
+        for seed in 0..20u64 {
+            let problem = instance(seed, 10, 40);
+            let engine = AssignmentEngine::new(&problem, &EngineOptions::default()).unwrap();
+            let stats = engine.stats();
+            assert_eq!(
+                stats.repair_rounds, 0,
+                "seed {seed}: new() ran repair rounds"
+            );
+            assert_eq!(stats.pairs_established, engine.pairs.len() as u64);
+            assert!(!engine.pairs.is_empty());
+
+            let restored =
+                AssignmentEngine::restore(&engine.export_snapshot(), &EngineOptions::default())
+                    .unwrap();
+            let stats = restored.stats();
+            assert_eq!(
+                stats.repair_rounds, 0,
+                "seed {seed}: restore() ran repair rounds"
+            );
+            assert_eq!(stats.pairs_established, restored.pairs.len() as u64);
+            assert_eq!(ordered_pairs(&restored), ordered_pairs(&engine));
+        }
     }
 }

@@ -8,6 +8,9 @@
 //! instead *repairs* the matching incrementally, using exactly the primitives
 //! the paper already provides:
 //!
+//! * **construction** (and restore from a snapshot) runs SB once and adopts
+//!   its matching together with the free-pool skyline SB maintained, so a
+//!   new engine costs one batch solve and no repair round;
 //! * **departures** free capacity and resume the stable loop from the
 //!   *maintained* free-pool skyline — replenished by the I/O-optimal
 //!   `UpdateSkyline` module (Theorem 1), so only R-tree nodes exclusively
